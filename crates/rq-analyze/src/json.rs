@@ -1,8 +1,8 @@
 //! A minimal JSON value type with an emitter and a recursive-descent
 //! parser.
 //!
-//! The workspace's vendored `serde` is a marker-trait stub (no derive, no
-//! `serde_json`), so the diagnostic reports hand-roll their JSON here.
+//! The workspace depends on no external crates, so the diagnostic reports
+//! hand-roll their JSON here.
 //! The dialect is the full RFC 8259 value grammar minus two liberties we
 //! never need: numbers are emitted from `u64`/`i64` only (diagnostics
 //! carry line/column positions and counts, never floats), and parsing

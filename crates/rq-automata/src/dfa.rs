@@ -21,7 +21,6 @@ pub const DEAD: usize = usize::MAX;
 /// Missing transitions ([`DEAD`]) mean "reject"; call [`Dfa::complete`] to
 /// materialize an explicit sink state instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dfa {
     letters: Vec<Letter>,
     transitions: Vec<Vec<usize>>,

@@ -19,7 +19,6 @@ pub type State = usize;
 /// States are dense indices `0..num_states()`. Multiple initial states are
 /// allowed (convenient for unions and subset products).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nfa {
     transitions: Vec<Vec<(Letter, State)>>,
     epsilon: Vec<Vec<State>>,

@@ -6,6 +6,7 @@
 //! is the expressiveness/efficiency trade-off the paper discusses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rq_automata::Letter;
 use rq_bench::{monadic_reachability_query, tc_query};
 use rq_datalog::evaluate;
 use rq_datalog::FactDb;
@@ -22,7 +23,7 @@ fn layered_factdb(layers: usize, width: usize) -> FactDb {
     }
     // Mark sinks (nodes with no outgoing edges) as targets.
     for n in g.nodes() {
-        if g.out_edges(n).is_empty() {
+        if g.step(n, Letter::forward(e)).is_empty() {
             db.add_fact("p", &[&format!("n{}", n.0)]);
         }
     }

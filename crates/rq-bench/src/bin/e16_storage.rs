@@ -51,6 +51,14 @@ fn main() {
     std::fs::write(&text_path, text::to_text(&db)).unwrap();
     let config = StorageConfig::default();
     StorageHandle::create(&dir, &db, config.clone()).unwrap();
+    // The serial row: a single-shard copy of the store decodes on one
+    // thread.
+    let serial_dir = dir.join("serial");
+    let serial = StorageConfig {
+        shards: 1,
+        ..config.clone()
+    };
+    StorageHandle::create(&serial_dir, &db, serial.clone()).unwrap();
     let snap_bytes = std::fs::metadata(dir.join("snapshot.rqs")).unwrap().len();
     let text_bytes = std::fs::metadata(&text_path).unwrap().len();
 
@@ -65,12 +73,8 @@ fn main() {
         black_box(StorageHandle::open(&dir, config.clone()).unwrap());
         t_snap.push(t0.elapsed().as_secs_f64());
 
-        let serial = StorageConfig {
-            parallel_load: false,
-            ..config.clone()
-        };
         let t0 = Instant::now();
-        black_box(StorageHandle::open(&dir, serial).unwrap());
+        black_box(StorageHandle::open(&serial_dir, serial.clone()).unwrap());
         t_serial.push(t0.elapsed().as_secs_f64());
     }
     let (m_text, m_snap, m_serial) = (median(t_text), median(t_snap), median(t_serial));

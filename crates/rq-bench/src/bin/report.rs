@@ -360,7 +360,7 @@ fn e9() {
             edb.add_fact("e", &[&format!("n{}", s.0), &format!("n{}", d.0)]);
         }
         for n in g.nodes() {
-            if g.out_edges(n).is_empty() {
+            if g.step(n, Letter::forward(e)).is_empty() {
                 edb.add_fact("p", &[&format!("n{}", n.0)]);
             }
         }

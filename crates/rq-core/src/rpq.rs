@@ -18,7 +18,6 @@ use std::collections::{BTreeSet, VecDeque};
 /// A two-way regular path query: a regular expression over Σ±, compiled to
 /// an ε-free NFA.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoRpq {
     regex: Regex,
     nfa: Nfa,
@@ -131,7 +130,7 @@ impl TwoRpq {
                 break 'bfs;
             }
             for &(l, t) in self.nfa.transitions_from(state) {
-                for n2 in db.step(node, l) {
+                for &n2 in db.step(node, l) {
                     let key = n2.index() * ns + t;
                     if !seen[key] {
                         seen[key] = true;
@@ -159,7 +158,6 @@ impl TwoRpq {
 /// A (one-way) regular path query: a [`TwoRpq`] restricted to forward
 /// letters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rpq(TwoRpq);
 
 /// Error building an [`Rpq`].

@@ -4,20 +4,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An interned constant of the active domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Value(pub u32);
 
 /// A relation: a set of fixed-arity tuples with lazily built per-column
 /// hash indexes (used by the join in [`crate::eval`]).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
     arity: usize,
     tuples: Vec<Vec<Value>>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     set: HashSet<Vec<Value>>,
     /// `indexes[col]`: value → row ids. Built on first use of that column.
-    #[cfg_attr(feature = "serde", serde(skip))]
     indexes: Vec<Option<HashMap<Value, Vec<usize>>>>,
 }
 
@@ -125,10 +121,8 @@ impl Eq for Relation {}
 
 /// A database of facts: named relations over an interned constant domain.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FactDb {
     constants: Vec<String>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     constant_index: HashMap<String, Value>,
     relations: BTreeMap<String, Relation>,
 }

@@ -221,10 +221,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over `db`. Indexes are rebuilt here if stale, so a
-    /// freshly deserialized database is safe to serve from.
-    pub fn new(mut db: GraphDb, config: EngineConfig) -> Engine {
-        db.ensure_indexes();
+    /// Build an engine over `db`.
+    pub fn new(db: GraphDb, config: EngineConfig) -> Engine {
         let alphabet = db.alphabet().clone();
         Engine {
             db: RwLock::new(Arc::new(db)),

@@ -81,7 +81,7 @@ impl<'a> ProductBfs<'a> {
             return Ok(None);
         };
         for &(l, t) in self.nfa.transitions_from(state) {
-            for n2 in self.db.step(node, l) {
+            for &n2 in self.db.step(node, l) {
                 gov.tick()?;
                 self.push(n2, t);
             }

@@ -7,8 +7,8 @@
 //! elements from a finite alphabet Σ"; it "can be seen as a (finite)
 //! relational structure over the set Σ of binary relational symbols".
 //!
-//! * [`db`] — the [`GraphDb`] store with forward *and* backward adjacency
-//!   (2RPQs navigate edges in both directions);
+//! * [`db`] — the [`GraphDb`] store: one relation per label with forward
+//!   *and* backward adjacency (2RPQs navigate edges in both directions);
 //! * [`frontier`] — governed product-automaton BFS steps, the shared
 //!   substrate of the sequential evaluator (`rq-core`) and the parallel
 //!   serving engine (`rq-engine`);
@@ -32,8 +32,8 @@
 //! let r = db.label("r");
 //! db.add_edge(x, r, y);
 //! // Forward and backward navigation:
-//! assert_eq!(db.step(x, Letter::forward(r)).count(), 1);
-//! assert_eq!(db.step(y, Letter::backward(r)).next(), Some(x));
+//! assert_eq!(db.step(x, Letter::forward(r)), &[y]);
+//! assert_eq!(db.step(y, Letter::backward(r)), &[x]);
 //! ```
 
 pub mod db;

@@ -1516,6 +1516,7 @@ mod metrics {
 mod tests {
     use super::*;
     use crate::http::Client;
+    use rq_automata::Letter;
     use rq_engine::EngineConfig;
     use rq_graph::{generate, GraphDb};
 
@@ -1615,8 +1616,10 @@ mod tests {
         assert_eq!(report.replayed, 2);
         let (v, w) = (db.find_node("v").unwrap(), db.find_node("w").unwrap());
         let r = db.alphabet().get("r").unwrap();
-        assert_eq!(db.out_edges(v), &[(r, w)]);
-        assert!(db.out_edges(db.find_node("u").unwrap()).is_empty());
+        assert_eq!(db.step(v, Letter::forward(r)), &[w]);
+        assert!(db
+            .step(db.find_node("u").unwrap(), Letter::forward(r))
+            .is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,6 +35,7 @@
 use crate::{crc32, StorageConfig, StorageError};
 use rq_automata::Alphabet;
 use rq_graph::{GraphDb, NodeId};
+use std::collections::HashSet;
 use std::path::Path;
 
 pub(crate) const MAGIC: &[u8; 8] = b"RQSNAP01";
@@ -345,11 +346,7 @@ fn decode_edges(
 }
 
 /// Decode a snapshot image into a [`GraphDb`], verifying every checksum.
-pub(crate) fn decode(
-    bytes: &[u8],
-    path: &Path,
-    config: &StorageConfig,
-) -> Result<(GraphDb, SnapshotInfo), StorageError> {
+pub(crate) fn decode(bytes: &[u8], path: &Path) -> Result<(GraphDb, SnapshotInfo), StorageError> {
     let corrupt = |detail: String| StorageError::corrupt(path, detail);
 
     // Superblock head.
@@ -453,7 +450,8 @@ pub(crate) fn decode(
         return Err(corrupt("duplicate label names in labels section".into()));
     }
 
-    // Shards, decoded in parallel when asked for.
+    // Shards, decoded on parallel threads when there are several shards
+    // and several cores.
     let decode_shard = |i: usize| -> Result<ShardColumns, String> {
         let (nshard, npay) = node_sections[i];
         let (eshard, epay) = edge_sections[i];
@@ -479,18 +477,17 @@ pub(crate) fn decode(
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let shard_results: Vec<Result<ShardColumns, String>> =
-        if config.parallel_load && num_shards > 1 && threads > 1 {
-            std::thread::scope(|s| {
-                let decode_shard = &decode_shard;
-                let handles: Vec<_> = (0..num_shards as usize)
-                    .map(|i| s.spawn(move || decode_shard(i)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        } else {
-            (0..num_shards as usize).map(decode_shard).collect()
-        };
+    let shard_results: Vec<Result<ShardColumns, String>> = if num_shards > 1 && threads > 1 {
+        std::thread::scope(|s| {
+            let decode_shard = &decode_shard;
+            let handles: Vec<_> = (0..num_shards as usize)
+                .map(|i| s.spawn(move || decode_shard(i)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    } else {
+        (0..num_shards as usize).map(decode_shard).collect()
+    };
 
     let mut node_names: Vec<Option<String>> = Vec::with_capacity(num_nodes as usize);
     let mut edges_by_label: EdgesByLabel = vec![Vec::new(); num_labels as usize];
@@ -513,6 +510,12 @@ pub(crate) fn decode(
             node_names.len()
         )));
     }
+    let mut seen = HashSet::with_capacity(node_names.len());
+    if let Some(name) = node_names.iter().flatten().find(|&n| !seen.insert(n)) {
+        return Err(corrupt(format!(
+            "duplicate node name {name:?} in nodes section"
+        )));
+    }
 
     let db = GraphDb::from_columns(alphabet, node_names, edges_by_label);
     let info = SnapshotInfo {
@@ -531,14 +534,13 @@ mod tests {
     use rq_graph::generate;
     use std::path::PathBuf;
 
-    fn roundtrip(db: &GraphDb, shards: u32, parallel: bool) -> GraphDb {
+    fn roundtrip(db: &GraphDb, shards: u32) -> GraphDb {
         let config = StorageConfig {
             shards,
-            parallel_load: parallel,
             ..StorageConfig::default()
         };
         let bytes = encode(db, &config, 7);
-        let (back, info) = decode(&bytes, &PathBuf::from("mem"), &config).unwrap();
+        let (back, info) = decode(&bytes, &PathBuf::from("mem")).unwrap();
         assert_eq!(info.nodes, db.num_nodes());
         assert_eq!(info.labels, db.alphabet().len());
         assert_eq!(info.epoch, 7);
@@ -571,9 +573,7 @@ mod tests {
         ];
         for db in &dbs {
             for shards in [1, 3, 4, 16] {
-                for parallel in [false, true] {
-                    assert_same(db, &roundtrip(db, shards, parallel));
-                }
+                assert_same(db, &roundtrip(db, shards));
             }
         }
     }
@@ -587,7 +587,7 @@ mod tests {
         let r = db.label("r");
         db.add_edge(a, r, x);
         db.label("unused");
-        assert_same(&db, &roundtrip(&db, 2, false));
+        assert_same(&db, &roundtrip(&db, 2));
     }
 
     #[test]
@@ -614,7 +614,7 @@ mod tests {
         let p = PathBuf::from("mem");
         // Truncation anywhere must fail closed.
         for cut in [0, 4, 8, 40, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode(&bytes[..cut], &p, &config).unwrap_err();
+            let err = decode(&bytes[..cut], &p).unwrap_err();
             assert!(err.to_string().starts_with("error[storage]:"), "{err}");
         }
         // A flipped bit anywhere must fail closed (superblock or section
@@ -622,7 +622,7 @@ mod tests {
         for pos in [9, 20, 60, bytes.len() / 2, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            match decode(&bad, &p, &config) {
+            match decode(&bad, &p) {
                 Err(e) => assert!(e.to_string().starts_with("error[storage]:"), "{e}"),
                 Ok((back, _)) => {
                     // Only acceptable if the flip landed in a section that

@@ -62,8 +62,9 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Number of node-range shards the snapshot is split into. Loader
-    /// threads decode shards independently, so this should roughly match
-    /// the engine's worker-stripe count.
+    /// threads decode shards independently (one per shard, capped at the
+    /// machine's parallelism), so this should roughly match the engine's
+    /// worker-stripe count; a single shard decodes serially.
     pub shards: u32,
     /// Once the delta log holds at least this many records,
     /// [`StorageHandle::needs_compaction`] reports true.
@@ -75,9 +76,6 @@ pub struct StorageConfig {
     /// cleanly). A CRC mismatch on a fully-framed record is always an
     /// error, independent of this flag.
     pub tolerate_torn_tail: bool,
-    /// Decode snapshot shards on parallel threads (one per shard, capped
-    /// at the machine's parallelism).
-    pub parallel_load: bool,
 }
 
 impl Default for StorageConfig {
@@ -86,7 +84,6 @@ impl Default for StorageConfig {
             shards: 4,
             compact_threshold: 10_000,
             tolerate_torn_tail: true,
-            parallel_load: true,
         }
     }
 }

@@ -81,26 +81,23 @@ fn corpus() -> Vec<(String, GraphDb)> {
 fn every_graph_round_trips_identically_across_shard_counts() {
     for (name, db) in corpus() {
         let reference = canonical(&db);
-        for shards in [1u32, 4, 16] {
-            for parallel_load in [false, true] {
-                let dir = temp_dir("fidelity");
-                let config = StorageConfig {
-                    shards,
-                    parallel_load,
-                    ..StorageConfig::default()
-                };
-                StorageHandle::create(&dir, &db, config.clone()).unwrap();
-                let (_, reopened, report) = StorageHandle::open(&dir, config).unwrap();
-                assert_eq!(
-                    canonical(&reopened),
-                    reference,
-                    "{name}: text serialization diverges (shards={shards}, \
-                     parallel={parallel_load})"
-                );
-                assert_eq!(report.nodes, db.num_nodes(), "{name}");
-                assert_eq!(report.replayed, 0, "{name}: fresh store has no log");
-                std::fs::remove_dir_all(&dir).unwrap();
-            }
+        // One shard decodes serially; more decode on parallel threads.
+        for shards in [1u32, 2, 4, 16] {
+            let dir = temp_dir("fidelity");
+            let config = StorageConfig {
+                shards,
+                ..StorageConfig::default()
+            };
+            StorageHandle::create(&dir, &db, config.clone()).unwrap();
+            let (_, reopened, report) = StorageHandle::open(&dir, config).unwrap();
+            assert_eq!(
+                canonical(&reopened),
+                reference,
+                "{name}: text serialization diverges (shards={shards})"
+            );
+            assert_eq!(report.nodes, db.num_nodes(), "{name}");
+            assert_eq!(report.replayed, 0, "{name}: fresh store has no log");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -155,11 +152,11 @@ fn acknowledged_deltas_survive_a_torn_final_append() {
         let n5 = reopened.find_node("n5").unwrap();
         let n9 = reopened.find_node("n9").unwrap();
         assert!(
-            reopened.out_edges(n0).contains(&(s, n5)),
+            reopened.has_edge(n0, s, n5),
             "cut at {cut}: first acknowledged delta lost"
         );
         assert!(
-            reopened.out_edges(n5).contains(&(s, n9)),
+            reopened.has_edge(n5, s, n9),
             "cut at {cut}: second acknowledged delta lost"
         );
         // The tail was physically truncated, so the next append starts
@@ -169,9 +166,11 @@ fn acknowledged_deltas_survive_a_torn_final_append() {
         drop(handle);
         let (_, again, report) = StorageHandle::open(&dir, StorageConfig::default()).unwrap();
         assert_eq!(report.replayed, 3, "cut at {cut}: post-recovery append");
-        assert!(again
-            .out_edges(again.find_node("n9").unwrap())
-            .contains(&(s, again.find_node("n1").unwrap())));
+        assert!(again.has_edge(
+            again.find_node("n9").unwrap(),
+            s,
+            again.find_node("n1").unwrap()
+        ));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
