@@ -32,18 +32,44 @@ pub const EMPTY_KEY: &str = "dfa:empty";
 /// Canonical key of `q` over `alphabet` (ungoverned; see
 /// [`canonical_key_governed`] for the metered variant the engine uses).
 pub fn canonical_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
-    expect_unlimited(canonical_key_governed(q, alphabet, &Governor::unlimited()))
+    expect_unlimited(key_governed(q, alphabet, &Governor::unlimited()))
 }
 
-/// Canonical key of `q`, with the subset construction metered by `gov`.
+/// Canonical key of `q`, with the subset construction metered by `gov`,
+/// together with the automaton the key was read off: the minimal DFA of
+/// `L(q)` with its sink trimmed away, as an ε-free [`Nfa`] the product BFS
+/// can run (no states for the empty language). It accepts exactly `L(q)`,
+/// so it answers the same pairs as `q.nfa()` on every database.
 pub fn canonical_key_governed(
     q: &TwoRpq,
     alphabet: &Alphabet,
     gov: &Governor,
+) -> Result<(String, Nfa), Exhaustion> {
+    Ok(match minimal_dfa(q, alphabet, gov)? {
+        Some(dfa) => (serialize(&dfa, alphabet), dfa.to_nfa().trim()),
+        None => (EMPTY_KEY.to_string(), Nfa::default()),
+    })
+}
+
+/// The key alone (the containment ladder compares keys and never
+/// evaluates, so it skips building the automaton).
+pub(crate) fn key_governed(
+    q: &TwoRpq,
+    alphabet: &Alphabet,
+    gov: &Governor,
 ) -> Result<String, Exhaustion> {
+    Ok(match minimal_dfa(q, alphabet, gov)? {
+        Some(dfa) => serialize(&dfa, alphabet),
+        None => EMPTY_KEY.to_string(),
+    })
+}
+
+/// The minimal complete DFA of `L(q)`, or `None` when the simplified regex
+/// is syntactically empty.
+fn minimal_dfa(q: &TwoRpq, alphabet: &Alphabet, gov: &Governor) -> Result<Option<Dfa>, Exhaustion> {
     let regex = simplify(q.regex());
     if regex.is_empty_language() {
-        return Ok(EMPTY_KEY.to_string());
+        return Ok(None);
     }
     // Sort the mentioned letters by (label name, direction) so the DFA's
     // column order — and hence the BFS renumbering below — is stable across
@@ -51,8 +77,9 @@ pub fn canonical_key_governed(
     let mut letters: Vec<Letter> = regex.letters().into_iter().collect();
     letters.sort_by_key(|l| (alphabet.name(l.label).to_string(), l.inverse));
     let nfa = Nfa::from_regex(&regex).eliminate_epsilon().trim();
-    let dfa = Dfa::determinize_governed(&nfa, &letters, gov)?.minimize();
-    Ok(serialize(&dfa, alphabet))
+    Ok(Some(
+        Dfa::determinize_governed(&nfa, &letters, gov)?.minimize(),
+    ))
 }
 
 /// The syntactic fallback key: the simplified regex rendered through label
@@ -184,6 +211,35 @@ mod tests {
         // probes, not via the key.
         let mut al = Alphabet::new();
         assert_ne!(key("p", &mut al), key("p p- p", &mut al));
+    }
+
+    #[test]
+    fn key_comes_with_the_trimmed_minimal_dfa() {
+        let mut al = Alphabet::new();
+        let gov = Governor::unlimited();
+        // Thompson + ε-elimination leaves 8 states; the minimal DFA has 5
+        // live ones once the sink is trimmed.
+        let q = TwoRpq::parse("a (a|b) (a|b) (a|b)", &mut al).unwrap();
+        let (key, dfa) = canonical_key_governed(&q, &al, &gov).unwrap();
+        assert_eq!(key, canonical_key(&q, &al));
+        assert_eq!(dfa.num_states(), 5);
+        assert!(dfa.num_states() < q.nfa().num_states());
+        assert!(!dfa.has_epsilon());
+        for word in q.nfa().enumerate_words(6, 200) {
+            assert!(dfa.accepts(&word));
+        }
+        for word in dfa.enumerate_words(6, 200) {
+            assert!(q.nfa().accepts(&word));
+        }
+        // A language whose minimal DFA is exponentially larger than its
+        // NFA: "the fourth letter from the end is `a`" (16 states).
+        let wide = TwoRpq::parse("(a|b)* a (a|b) (a|b) (a|b)", &mut al).unwrap();
+        let (_, wide_dfa) = canonical_key_governed(&wide, &al, &gov).unwrap();
+        assert!(wide_dfa.num_states() > wide.nfa().num_states());
+        // The empty language keys to EMPTY_KEY with a stateless automaton.
+        let empty = TwoRpq::new(rq_automata::Regex::union([]));
+        let (key, dfa) = canonical_key_governed(&empty, &al, &gov).unwrap();
+        assert_eq!((key.as_str(), dfa.num_states()), (EMPTY_KEY, 0));
     }
 
     #[test]

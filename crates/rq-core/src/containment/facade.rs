@@ -21,7 +21,7 @@
 //! stalling the request.
 
 use super::{simple, two_rpq, Certificate, Outcome};
-use crate::canonical::canonical_key_governed;
+use crate::canonical::key_governed;
 use crate::rpq::TwoRpq;
 use rq_automata::governor::{Governor, Limits};
 use rq_automata::regex::simplify;
@@ -73,8 +73,8 @@ pub fn check_quick_governed(
         let mut s = span::start("ladder.canonical_key");
         let fuel_before = gov.fuel_spent();
         let keys = (
-            canonical_key_governed(q1, alphabet, gov),
-            canonical_key_governed(q2, alphabet, gov),
+            key_governed(q1, alphabet, gov),
+            key_governed(q2, alphabet, gov),
         );
         if s.active() {
             s.record("fuel", gov.fuel_spent() - fuel_before);

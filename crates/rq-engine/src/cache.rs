@@ -24,7 +24,7 @@
 //! small to find out".
 
 use rq_automata::governor::{Governor, Limits};
-use rq_automata::{Alphabet, LabelId};
+use rq_automata::{Alphabet, LabelId, Nfa};
 use rq_core::canonical::{canonical_key_governed, syntactic_key};
 use rq_core::containment::facade::check_quick_governed;
 use rq_core::containment::Outcome;
@@ -190,13 +190,21 @@ impl SemanticCache {
     /// The cache key of `q`: canonical when configured and affordable,
     /// syntactic otherwise.
     pub fn key_of(&self, q: &TwoRpq, alphabet: &Alphabet) -> String {
+        self.key_and_dfa(q, alphabet).0
+    }
+
+    /// [`Self::key_of`], plus — when the key is canonical — the trimmed
+    /// minimal DFA it was read off (see
+    /// [`rq_core::canonical::canonical_key_governed`]), which the engine
+    /// may evaluate in place of the query's NFA.
+    pub fn key_and_dfa(&self, q: &TwoRpq, alphabet: &Alphabet) -> (String, Option<Nfa>) {
         if self.config.canonical_keys {
             let gov = Governor::new(self.config.key_limits.clone());
-            if let Ok(k) = canonical_key_governed(q, alphabet, &gov) {
-                return k;
+            if let Ok((key, dfa)) = canonical_key_governed(q, alphabet, &gov) {
+                return (key, Some(dfa));
             }
         }
-        syntactic_key(q, alphabet)
+        (syntactic_key(q, alphabet), None)
     }
 
     /// Number of materialized entries.

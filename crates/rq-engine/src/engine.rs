@@ -11,8 +11,9 @@
 use crate::cache::{Answer, CacheConfig, CacheStats, Lookup, SemanticCache};
 use crate::pool::WorkerPool;
 use rq_automata::governor::{EngineError, Exhaustion, Governor, Limits, Resource};
-use rq_automata::{Alphabet, LabelId};
+use rq_automata::{Alphabet, LabelId, Nfa};
 use rq_core::TwoRpq;
+use rq_graph::frontier::ProductBfs;
 use rq_graph::{Delta, GraphDb, NodeId};
 use rq_metrics::span;
 use std::collections::BTreeSet;
@@ -391,8 +392,9 @@ impl Engine {
                 };
                 (q_eff, self.db())
             };
-            let sources: Vec<NodeId> = db.nodes().collect();
-            let answer = Arc::new(self.eval_sources(&q_eff, &db, sources, limits, cancel)?);
+            let nfa = Arc::new(q_eff.nfa().clone());
+            let answer =
+                Arc::new(self.eval_sources(nfa, &db, db.nodes().collect(), limits, cancel)?);
             return Ok(QueryResult {
                 answer,
                 disposition: Disposition::Miss,
@@ -403,7 +405,7 @@ impl Engine {
         // graph, epoch, and cache under this very lock, so the triple is
         // mutually consistent — a Subsumed superset is always filtered
         // against the graph version it was cached for.
-        let (key, lookup, q_eff, db, epoch_at_lookup) = {
+        let (key, dfa, lookup, q_eff, db, epoch_at_lookup) = {
             let mut shared = self.shared();
             let Shared { alphabet, cache } = &mut *shared;
             // Pre-flight (rq-analyze): short-circuit ∅-language queries
@@ -421,11 +423,21 @@ impl Engine {
             } else {
                 q.clone()
             };
-            let key = cache.key_of(&q_eff, alphabet);
+            let (key, dfa) = cache.key_and_dfa(&q_eff, alphabet);
             let lookup = cache.lookup(&q_eff, &key, alphabet);
-            (key, lookup, q_eff, self.db(), self.epoch())
+            (key, dfa, lookup, q_eff, self.db(), self.epoch())
         };
         let q = &q_eff;
+        // Evaluate on whichever automaton has fewer states: the minimal DFA
+        // keying just built (same language, so the same answer) unless
+        // determinization blew it up past the query's NFA, or keying fell
+        // back to the syntactic key and built none.
+        let automaton = move || {
+            Arc::new(match dfa {
+                Some(dfa) if dfa.num_states() <= q.nfa().num_states() => dfa,
+                _ => q.nfa().clone(),
+            })
+        };
         // Graph work happens outside the lock: concurrent callers only
         // contend on key computation and probes.
         let (answer, disposition) = match lookup {
@@ -448,13 +460,13 @@ impl Engine {
                 // re-check.
                 let mut sources: Vec<NodeId> = superset.iter().map(|&(x, _)| x).collect();
                 sources.dedup();
-                let answer = Arc::new(self.eval_sources(q, &db, sources, limits, cancel)?);
-                (answer, Disposition::Subsumed)
+                let answer = self.eval_sources(automaton(), &db, sources, limits, cancel)?;
+                (Arc::new(answer), Disposition::Subsumed)
             }
             Lookup::Miss => {
-                let sources: Vec<NodeId> = db.nodes().collect();
-                let answer = Arc::new(self.eval_sources(q, &db, sources, limits, cancel)?);
-                (answer, Disposition::Miss)
+                let sources = db.nodes().collect();
+                let answer = self.eval_sources(automaton(), &db, sources, limits, cancel)?;
+                (Arc::new(answer), Disposition::Miss)
             }
         };
         let mut shared = self.shared();
@@ -663,16 +675,17 @@ impl Engine {
         report
     }
 
-    /// Stripe `sources` across the pool, one governed product BFS per
-    /// source, merging the per-worker pair sets. When `cancel` is given,
-    /// every stripe *watches* it read-only — setting it from another
-    /// thread (a request timeout, a server drain) stops the evaluation,
-    /// but the internal first-failure peer-cancel path runs on its own
-    /// flag, so an exhausted attempt never flips the caller's flag and a
-    /// retry with the same flag starts clean.
+    /// Stripe `sources` across the pool, each stripe running one governed
+    /// product-BFS scratch over `nfa` from each of its sources, and build
+    /// the answer from the stripes' sorted pair runs. When `cancel` is
+    /// given, every stripe *watches* it read-only — setting it from
+    /// another thread (a request timeout, a server drain) stops the
+    /// evaluation, but the internal first-failure peer-cancel path runs on
+    /// its own flag, so an exhausted attempt never flips the caller's flag
+    /// and a retry with the same flag starts clean.
     fn eval_sources(
         &self,
-        q: &TwoRpq,
+        nfa: Arc<Nfa>,
         db: &Arc<GraphDb>,
         sources: Vec<NodeId>,
         limits: &Limits,
@@ -688,20 +701,21 @@ impl Engine {
             eval_span.record("stripes", stripes);
         }
         // Hand the request's trace to every stripe, parented under the
-        // eval span, so worker-side spans (stripe, per-source BFS) land
-        // in the same tree even though they run on pool threads.
+        // eval span, so worker-side spans (stripe, BFS) land in the same
+        // tree even though they run on pool threads.
         let trace_parent = span::current_context().map(|(ctx, _)| (ctx, eval_span.id()));
         let peer_cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = channel::<Result<BTreeSet<(NodeId, NodeId)>, Exhaustion>>();
+        let sources: Arc<[NodeId]> = sources.into();
+        let (tx, rx) = channel::<Result<Vec<(NodeId, NodeId)>, Exhaustion>>();
         for s in 0..stripes {
             let db = Arc::clone(db);
-            let q = q.clone();
+            let nfa = Arc::clone(&nfa);
+            let sources = Arc::clone(&sources);
             let tx = tx.clone();
             let peer_cancel = Arc::clone(&peer_cancel);
             let external = cancel.clone();
             let limits = limits.clone();
             let trace_parent = trace_parent.clone();
-            let mine: Vec<NodeId> = sources.iter().skip(s).step_by(stripes).copied().collect();
             self.pool.execute(move || {
                 let _trace_guard = trace_parent
                     .as_ref()
@@ -711,48 +725,34 @@ impl Engine {
                 if let Some(flag) = external {
                     gov = gov.watching(flag);
                 }
-                let mut out = BTreeSet::new();
-                let mut failed = None;
-                for x in mine {
-                    match q.evaluate_from_governed(&db, x, &gov) {
-                        Ok(ys) => out.extend(ys.into_iter().map(|y| (x, y))),
-                        Err(e) => {
-                            gov.cancel(); // stop the peers
-                            failed = Some(e);
-                            break;
-                        }
-                    }
+                // Sources arrive ascending and stripe `s` takes s, s+k,
+                // s+2k, …, so its pairs come out as one sorted run.
+                let mine = sources.iter().skip(s).step_by(stripes).copied();
+                let mut out = Vec::new();
+                let result = ProductBfs::new(&db, &nfa).pairs_into(mine, &gov, &mut out);
+                if result.is_err() {
+                    gov.cancel(); // stop the peers
                 }
                 if stripe_span.active() {
                     stripe_span.record("stripe", s);
                     stripe_span.record("fuel", gov.fuel_spent());
-                    if failed.is_some() {
+                    if result.is_err() {
                         stripe_span.record("exhausted", "true");
                     }
                 }
                 drop(stripe_span);
-                metrics::worker_fuel(gov.fuel_spent(), failed.is_none());
-                let _ = tx.send(match failed {
-                    None => Ok(out),
-                    Some(e) => Err(e),
-                });
+                metrics::worker_fuel(gov.fuel_spent(), result.is_ok());
+                let _ = tx.send(result.map(|()| out));
             });
         }
         drop(tx);
-        let mut merged = BTreeSet::new();
+        // The stripes' sorted runs, concatenated.
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
         let mut error: Option<Exhaustion> = None;
         for result in rx {
             match result {
-                // Always extend the larger set with the smaller one, so a
-                // single stripe (or one dominant stripe) pays no re-insert.
-                Ok(part) => {
-                    if part.len() > merged.len() {
-                        let smaller = std::mem::replace(&mut merged, part);
-                        merged.extend(smaller);
-                    } else {
-                        merged.extend(part);
-                    }
-                }
+                Ok(run) if pairs.is_empty() => pairs = run,
+                Ok(run) => pairs.extend(run),
                 // Peers cancelled by the first failure also report
                 // `Cancelled`; keep the budget that actually tripped.
                 Err(e) => {
@@ -771,7 +771,9 @@ impl Engine {
         }
         match error {
             Some(e) => Err(EngineError::Exhausted(e)),
-            None => Ok(merged),
+            // `from_iter` sorts (merging the runs) and bulk-builds the set
+            // instead of inserting pair by pair.
+            None => Ok(pairs.into_iter().collect()),
         }
     }
 }

@@ -1111,6 +1111,9 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
     let mut rng = Rng::new(inner.cfg.faults.seed ^ job.id);
     let mut attempts = 0u32;
     let mut previous_delay = inner.cfg.retry.base;
+    // The report of the last exhausted attempt, carried into a 408 if the
+    // deadline expires during the back-off before the retry.
+    let mut last_exhaustion: Option<Exhaustion> = None;
     loop {
         attempts += 1;
         let mut fuel = job.fuel;
@@ -1132,15 +1135,17 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
         let now = Instant::now();
         if now >= job.deadline {
             metrics::deadline_timeout();
-            return (
-                408,
-                error_body(
+            let message = "deadline expired between attempts";
+            let body = match &last_exhaustion {
+                Some(e) => error_body_with_exhaustion(job.id, "deadline", message, e, attempts),
+                None => error_body(
                     job.id,
                     "deadline",
-                    "deadline expired between attempts",
+                    message,
                     vec![("attempts", num(u64::from(attempts)))],
                 ),
-            );
+            };
+            return (408, body);
         }
         let limits = Limits::unlimited()
             .with_fuel(fuel)
@@ -1211,6 +1216,7 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
                                 decorrelated_jitter(&inner.cfg.retry, &mut rng, previous_delay);
                             let remaining = job.deadline.saturating_duration_since(Instant::now());
                             std::thread::sleep(previous_delay.min(remaining));
+                            last_exhaustion = Some(e);
                             continue;
                         }
                         metrics::retry_budget_exhausted();
@@ -1516,6 +1522,7 @@ mod metrics {
 mod tests {
     use super::*;
     use crate::http::Client;
+    use crate::retry::RetryPolicy;
     use rq_automata::Letter;
     use rq_engine::EngineConfig;
     use rq_graph::{generate, GraphDb};
@@ -1827,6 +1834,41 @@ mod tests {
         assert_eq!(ex.get("limit").and_then(Json::as_u64), Some(3));
         let attempts = body.get("attempts").and_then(Json::as_u64).unwrap();
         assert!(attempts >= 1, "at least the initial attempt");
+        server.shutdown();
+    }
+
+    #[test]
+    fn deadline_during_retry_backoff_keeps_the_last_report() {
+        // Every attempt starves at 3 fuel, and the back-off (500 ms) is
+        // longer than the request's 50 ms deadline: the retry wakes up
+        // past the deadline and must answer 408 with the exhausted
+        // attempt's report rather than drop it.
+        let server = test_server(ServeConfig {
+            retry: RetryPolicy {
+                max_retries: 2,
+                base: Duration::from_millis(500),
+                cap: Duration::from_millis(500),
+            },
+            ..ServeConfig::default()
+        });
+        let mut c = client(&server);
+        let r = c
+            .request(
+                "POST",
+                "/query",
+                &[("X-Fuel", "3"), ("X-Timeout-Ms", "50")],
+                b"(a|b)*",
+            )
+            .unwrap();
+        assert_eq!(r.status, 408, "{}", r.text());
+        let body = Json::parse(&r.text()).unwrap();
+        assert_eq!(body.get("error").and_then(Json::as_str), Some("deadline"));
+        let message = body.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("between attempts"), "{message}");
+        let ex = body.get("exhaustion").expect("408 carries the last report");
+        assert_eq!(ex.get("resource").and_then(Json::as_str), Some("fuel"));
+        assert_eq!(ex.get("limit").and_then(Json::as_u64), Some(3));
+        assert_eq!(body.get("attempts").and_then(Json::as_u64), Some(2));
         server.shutdown();
     }
 

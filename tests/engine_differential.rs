@@ -1,13 +1,24 @@
 //! Differential tests: the parallel, semantically cached `rq-engine` must
 //! answer exactly like the sequential `rq-core` evaluator — on cold
 //! caches, on exact/equivalent hits, and on subsumption hits answered by
-//! filtering a cached superset.
+//! filtering a cached superset — whichever automaton the engine evaluates
+//! (the cache key's minimal DFA or the query's NFA) and at any thread
+//! count. The seeded query count scales with `PROPTEST_CASES`.
 
 use regular_queries::automata::random::{random_regex, RegexConfig, SplitMix64};
+use regular_queries::core::canonical::canonical_key_governed;
 use regular_queries::core::TwoRpq;
 use regular_queries::engine::{Disposition, Engine, EngineConfig};
 use regular_queries::graph::generate;
 use regular_queries::prelude::*;
+
+/// Seeded random queries per case: `PROPTEST_CASES` or 16.
+fn cases() -> usize {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16)
+}
 
 fn random_queries(seed: u64, count: usize) -> Vec<TwoRpq> {
     let mut rng = SplitMix64::new(seed);
@@ -125,5 +136,119 @@ fn engine_honors_the_deadline() {
     match engine.run(&q) {
         Err(EngineError::Exhausted(e)) => assert_eq!(e.resource, Resource::Deadline),
         other => panic!("expected a deadline trip, got {other:?}"),
+    }
+}
+
+/// Fixed queries covering both automaton choices: inverse letters,
+/// nullable languages, and languages whose minimal DFA is larger than the
+/// query's NFA (so the engine must keep the NFA).
+const FIXED: [&str; 8] = [
+    "(a|b)* a (a|b) (a|b)",
+    "(a|b)* a (a|b) (a|b) (a|b)",
+    "(a|b-)* a- (a|b) (a-|b)",
+    "a (a|b) (a|b) (a|b)",
+    "a b- | a- b",
+    "a*",
+    "(a b-)* | b?",
+    "a? (b- a)* b-?",
+];
+
+fn fixed_and_random(al: &mut Alphabet, seed: u64) -> Vec<TwoRpq> {
+    let mut queries: Vec<TwoRpq> = FIXED
+        .iter()
+        .map(|t| TwoRpq::parse(t, al).unwrap())
+        .collect();
+    queries.extend(random_queries(seed, cases()));
+    queries
+}
+
+#[test]
+fn the_fixed_queries_cover_both_automata_and_nullability() {
+    let mut al = Alphabet::from_names(["a", "b"]);
+    let gov = Governor::unlimited();
+    let queries = fixed_and_random(&mut al, 0);
+    let states = |q: &TwoRpq| {
+        let (_, dfa) = canonical_key_governed(q, &al, &gov).unwrap();
+        (dfa.num_states(), q.nfa().num_states())
+    };
+    assert!(queries.iter().any(|q| {
+        let (dfa, nfa) = states(q);
+        dfa > nfa
+    }));
+    assert!(queries.iter().any(|q| {
+        let (dfa, nfa) = states(q);
+        dfa < nfa
+    }));
+    assert!(queries.iter().any(TwoRpq::nullable));
+    assert!(queries.iter().any(|q| !q.is_forward_only()));
+}
+
+#[test]
+fn miss_answers_match_sequential_at_every_thread_count() {
+    for seed in [7u64, 41] {
+        let db = generate::random_gnm(18, 45, &["a", "b"], seed);
+        let mut al = db.alphabet().clone();
+        let queries = fixed_and_random(&mut al, seed ^ 0xA11);
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(
+                db.clone(),
+                EngineConfig {
+                    threads,
+                    ..EngineConfig::default()
+                },
+            );
+            for (i, q) in queries.iter().enumerate() {
+                engine.clear_cache();
+                let got = engine.run(q).expect("unlimited budgets never trip");
+                assert!(
+                    matches!(got.disposition, Disposition::Miss | Disposition::Empty),
+                    "a cold cache evaluates: {:?}",
+                    got.disposition
+                );
+                assert_eq!(
+                    *got.answer,
+                    q.evaluate(&db),
+                    "seed {seed}, threads {threads}, query {i}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn subsumed_answers_match_sequential_at_every_thread_count() {
+    for seed in [13u64, 57] {
+        let db = generate::random_gnm(18, 45, &["a", "b"], seed);
+        let mut al = db.alphabet().clone();
+        let top = TwoRpq::parse("(a|b|a-|b-)*", &mut al).unwrap();
+        let queries = fixed_and_random(&mut al, seed ^ 0x5B5);
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(
+                db.clone(),
+                EngineConfig {
+                    threads,
+                    ..EngineConfig::default()
+                },
+            );
+            let mut subsumed = 0;
+            for (i, q) in queries.iter().enumerate() {
+                // Only the Σ±* superset is cached when `q` is looked up.
+                engine.clear_cache();
+                engine.run(&top).expect("top query");
+                let got = engine.run(q).expect("unlimited budgets never trip");
+                if got.disposition == Disposition::Subsumed {
+                    subsumed += 1;
+                }
+                assert_eq!(
+                    *got.answer,
+                    q.evaluate(&db),
+                    "seed {seed}, threads {threads}, query {i}"
+                );
+            }
+            assert!(
+                subsumed >= FIXED.len() - 1,
+                "the superset answered only {subsumed} queries (seed {seed}, threads {threads})"
+            );
+        }
     }
 }

@@ -90,10 +90,24 @@ fn drain_racing_a_stream_batch_answers_every_line() {
 /// A per-request deadline that fires while the product BFS is still
 /// grinding must come back as `408` carrying the partial-progress
 /// exhaustion report, and promptly — not after the full evaluation.
+///
+/// The fuel budget and the tenant quota are set far above what 20 ms of
+/// BFS can spend, so the deadline — not the default 200k fuel — is the
+/// budget that trips, however fast the build.
 #[test]
 fn deadline_mid_evaluation_returns_a_partial_report() {
-    let server =
-        Server::start(engine_on(2500, 10_000, 31), ServeConfig::default()).expect("server starts");
+    let server = Server::start(
+        engine_on(2500, 10_000, 31),
+        ServeConfig {
+            request_fuel: 1 << 40,
+            quota: TenantQuota {
+                fuel_per_sec: 1 << 40,
+                burst_fuel: 1 << 42,
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
     let mut client =
         Client::connect(&server.addr().to_string(), Duration::from_secs(30)).expect("connect");
     let start = Instant::now();

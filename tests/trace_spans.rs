@@ -28,6 +28,14 @@ fn span_named<'a>(t: &'a FinishedTrace, name: &str) -> &'a SpanRecord {
     })
 }
 
+/// Every span named `name` whose parent is `parent`.
+fn spans_under<'a>(t: &'a FinishedTrace, name: &str, parent: u64) -> Vec<&'a SpanRecord> {
+    t.spans
+        .iter()
+        .filter(|s| s.name == name && s.parent == Some(parent))
+        .collect()
+}
+
 #[test]
 fn subsumed_query_traces_every_stage() {
     let db = generate::random_gnm(16, 40, &["p", "q"], 7);
@@ -105,19 +113,39 @@ fn subsumed_query_traces_every_stage() {
     );
 
     // The superset re-evaluation shows up as eval → stripe → BFS spans
-    // with fuel attributed to the frontier work.
+    // with fuel attributed to the frontier work. Stripes finish in any
+    // order, so each BFS is matched to *some* stripe of this eval.
     let eval = span_named(&trace, "engine.eval");
     assert!(field(eval, "sources").is_some());
-    let stripe = span_named(&trace, "engine.stripe");
-    assert_eq!(stripe.parent, Some(eval.id));
-    let bfs = trace
+    let stripes = spans_under(&trace, "engine.stripe", eval.id);
+    assert!(!stripes.is_empty(), "the eval ran its stripes");
+    assert_eq!(
+        stripes.len(),
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "engine.stripe")
+            .count(),
+        "every stripe is under the eval"
+    );
+    let bfs_spans: Vec<_> = trace
         .spans
         .iter()
-        .find(|s| s.name == "frontier.bfs")
-        .expect("superset re-evaluation ran a frontier BFS");
-    assert_eq!(bfs.parent, Some(stripe.id));
-    for key in ["expanded", "frontier_peak", "fuel"] {
-        assert!(field(bfs, key).is_some(), "frontier span missing {key}");
+        .filter(|s| s.name == "frontier.bfs")
+        .collect();
+    assert!(
+        !bfs_spans.is_empty(),
+        "superset re-evaluation ran a frontier BFS"
+    );
+    for bfs in bfs_spans {
+        assert!(
+            stripes.iter().any(|s| bfs.parent == Some(s.id)),
+            "frontier.bfs {} is not under one of the eval's stripes",
+            bfs.id
+        );
+        for key in ["sources", "expanded", "frontier_peak", "fuel"] {
+            assert!(field(bfs, key).is_some(), "frontier span missing {key}");
+        }
     }
 
     // Every span is timed and the tree renders as a per-stage profile.
@@ -150,6 +178,53 @@ fn subsumed_query_traces_every_stage() {
             .any(|(id, _)| *id == trace.trace_id),
         "no exemplar links the latency histogram to the traced request"
     );
+}
+
+/// An all-pairs evaluation over a large graph records one `frontier.bfs`
+/// per stripe — not one per source — so the trace stays far below the
+/// per-trace span cap and drops nothing.
+#[test]
+fn all_pairs_records_one_bfs_span_per_stripe() {
+    let db = generate::random_gnm(1200, 2400, &["p", "q"], 19);
+    let nodes = db.num_nodes();
+    let mut al = db.alphabet().clone();
+    let q = TwoRpq::parse("p q-", &mut al).unwrap();
+    let engine = Engine::new(
+        db,
+        EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let ctx = TraceContext::start();
+    let result = {
+        let _g = span::install(&ctx, 0);
+        engine.run(&q).unwrap()
+    };
+    assert_eq!(result.disposition, Disposition::Miss);
+    let trace = ctx.finish("ok", "p q-");
+    assert_eq!(trace.dropped_spans, 0);
+
+    let eval = span_named(&trace, "engine.eval");
+    assert_eq!(field(eval, "sources"), Some(nodes.to_string().as_str()));
+    assert_eq!(field(eval, "stripes"), Some("2"));
+    let stripes = spans_under(&trace, "engine.stripe", eval.id);
+    assert_eq!(stripes.len(), 2);
+    let mut sources = 0;
+    for stripe in &stripes {
+        let bfs = spans_under(&trace, "frontier.bfs", stripe.id);
+        assert_eq!(bfs.len(), 1, "one frontier.bfs per stripe");
+        sources += field(bfs[0], "sources").unwrap().parse::<usize>().unwrap();
+    }
+    assert_eq!(
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "frontier.bfs")
+            .count(),
+        2
+    );
+    assert_eq!(sources, nodes, "the stripes' BFS spans cover every source");
 }
 
 #[test]
